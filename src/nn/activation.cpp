@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "tensor/epilogue.hpp"
 #include "util/thread_pool.hpp"
 
 namespace nshd::nn {
@@ -15,16 +16,6 @@ const char* to_string(Activation act) {
     case Activation::kSigmoid: return "Sigmoid";
   }
   return "?";
-}
-
-float activate(Activation act, float x) {
-  switch (act) {
-    case Activation::kReLU: return x > 0.0f ? x : 0.0f;
-    case Activation::kReLU6: return x < 0.0f ? 0.0f : (x > 6.0f ? 6.0f : x);
-    case Activation::kSiLU: return x / (1.0f + std::exp(-x));
-    case Activation::kSigmoid: return 1.0f / (1.0f + std::exp(-x));
-  }
-  return 0.0f;
 }
 
 float activate_grad(Activation act, float x) {
@@ -46,6 +37,7 @@ float activate_grad(Activation act, float x) {
 Tensor ActivationLayer::forward(const Tensor& input, bool training) {
   if (training) cached_input_ = input;
   Tensor output(input.shape());
+  // The scalar reference the vector forward_into and fused epilogues match.
   const float* in = input.data();
   float* out = output.data();
   const std::int64_t n = input.numel();
@@ -57,38 +49,13 @@ void ActivationLayer::forward_into(const TensorView& in, TensorView out,
                                    Workspace& scratch) {
   (void)scratch;
   assert(out.numel() == in.numel());
-  const float* src = in.data();
-  float* dst = out.data();
-  const std::int64_t n = in.numel();
-  // Dispatch hoisted out of the loop: each branch applies the exact scalar
-  // expression from activate(), so results stay bitwise identical while the
-  // piecewise-linear kinds vectorize.
-  switch (act_) {
-    case Activation::kReLU:
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float x = src[i];
-        dst[i] = x > 0.0f ? x : 0.0f;
-      }
-      break;
-    case Activation::kReLU6:
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float x = src[i];
-        dst[i] = x < 0.0f ? 0.0f : (x > 6.0f ? 6.0f : x);
-      }
-      break;
-    case Activation::kSiLU:
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float x = src[i];
-        dst[i] = x / (1.0f + std::exp(-x));
-      }
-      break;
-    case Activation::kSigmoid:
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float x = src[i];
-        dst[i] = 1.0f / (1.0f + std::exp(-x));
-      }
-      break;
-  }
+  // The epilogue a fused conv applies, with no per-channel terms: ReLU and
+  // ReLU6 vectorize with activate()'s NaN/-0 semantics, SiLU and Sigmoid
+  // evaluate activate() per lane.
+  tensor::Epilogue e;
+  e.has_act = true;
+  e.act = act_;
+  tensor::epilogue_run(e, 0, in.data(), out.data(), in.numel());
 }
 
 void ActivationLayer::backward_into(const TensorView& in,

@@ -3,10 +3,14 @@
 #pragma once
 
 #include "nn/layer.hpp"
+#include "tensor/epilogue.hpp"
 
 namespace nshd::nn {
 
-enum class Activation { kReLU, kReLU6, kSiLU, kSigmoid };
+/// The activation kinds and their scalar definition live with the kernel
+/// epilogue (tensor/epilogue.hpp), which fuses them into conv layers.
+using tensor::Activation;
+using tensor::activate;
 
 const char* to_string(Activation act);
 
@@ -32,8 +36,7 @@ class ActivationLayer final : public Layer {
   Tensor cached_input_;
 };
 
-/// Scalar activation evaluations, shared with SE-block internals.
-float activate(Activation act, float x);
+/// Scalar activation derivative, shared with SE-block internals.
 float activate_grad(Activation act, float x);
 
 }  // namespace nshd::nn

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "tensor/epilogue.hpp"
 #include "tensor/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -152,6 +153,8 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
     forward_train_impl(input.data(), output.data(), batch, hw);
     return output;
   }
+  // The scalar eval reference: forward_into and the conv epilogues that
+  // fuse this layer must reproduce it bit for bit (nn_test, plan_test).
   for (std::int64_t c = 0; c < channels_; ++c) {
     const float mean_c = running_mean_[c];
     const float var_c = running_var_[c];
@@ -169,6 +172,18 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
   return output;
 }
 
+float BatchNorm2d::eval_inv_std(std::int64_t c) const {
+  return 1.0f / std::sqrt(running_var_[c] + epsilon_);
+}
+
+void BatchNorm2d::fill_epilogue(tensor::Epilogue& e, float* inv_std) const {
+  for (std::int64_t c = 0; c < channels_; ++c) inv_std[c] = eval_inv_std(c);
+  e.bn_mean = running_mean_.data();
+  e.bn_inv_std = inv_std;
+  e.bn_gamma = gamma_.value.data();
+  e.bn_beta = beta_.value.data();
+}
+
 void BatchNorm2d::forward_into(const TensorView& in, TensorView out,
                                Workspace& scratch) {
   (void)scratch;
@@ -177,20 +192,19 @@ void BatchNorm2d::forward_into(const TensorView& in, TensorView out,
   const std::int64_t batch = in.shape()[0];
   const std::int64_t hw = in.shape()[2] * in.shape()[3];
 
-  // Eval path of forward(): running statistics only, safe in-place because
-  // each element is read once before being written.
+  // Running statistics only, through the same epilogue a fused conv
+  // applies; safe in-place because each element is read once before being
+  // written.
   for (std::int64_t c = 0; c < channels_; ++c) {
-    const float mean_c = running_mean_[c];
-    const float var_c = running_var_[c];
-    const float inv_std = 1.0f / std::sqrt(var_c + epsilon_);
-    const float g = gamma_.value[c], b = beta_.value[c];
+    const float inv_std = eval_inv_std(c);
+    tensor::Epilogue e;
+    e.bn_mean = running_mean_.data() + c;
+    e.bn_inv_std = &inv_std;
+    e.bn_gamma = gamma_.value.data() + c;
+    e.bn_beta = beta_.value.data() + c;
     for (std::int64_t n = 0; n < batch; ++n) {
-      const float* in_plane = in.data() + (n * channels_ + c) * hw;
-      float* out_plane = out.data() + (n * channels_ + c) * hw;
-      for (std::int64_t i = 0; i < hw; ++i) {
-        const float x_hat = (in_plane[i] - mean_c) * inv_std;
-        out_plane[i] = g * x_hat + b;
-      }
+      const std::int64_t offset = (n * channels_ + c) * hw;
+      tensor::epilogue_run(e, 0, in.data() + offset, out.data() + offset, hw);
     }
   }
 }

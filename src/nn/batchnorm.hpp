@@ -3,6 +3,10 @@
 
 #include "nn/layer.hpp"
 
+namespace nshd::tensor {
+struct Epilogue;
+}
+
 namespace nshd::nn {
 
 class BatchNorm2d final : public Layer {
@@ -27,6 +31,12 @@ class BatchNorm2d final : public Layer {
   }
 
   std::int64_t channels() const { return channels_; }
+
+  /// Points `e`'s batch-norm terms at this layer's eval statistics, writing
+  /// 1/sqrt(running_var + eps) into `inv_std` ([channels]).  forward_into
+  /// runs the same terms, so a conv that fuses them is bitwise equal.
+  void fill_epilogue(tensor::Epilogue& e, float* inv_std) const;
+
   /// Running statistics, exposed for serialization.
   Tensor& running_mean() { return running_mean_; }
   Tensor& running_var() { return running_var_; }
@@ -45,6 +55,7 @@ class BatchNorm2d final : public Layer {
   /// channel everywhere), so the per-channel shard is bitwise invariant.
   void forward_train_impl(const float* in, float* out, std::int64_t batch,
                           std::int64_t hw);
+  float eval_inv_std(std::int64_t c) const;
 
   std::int64_t channels_;
   float momentum_, epsilon_;

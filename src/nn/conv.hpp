@@ -5,6 +5,10 @@
 #include "tensor/im2col.hpp"
 #include "util/rng.hpp"
 
+namespace nshd::tensor {
+struct Epilogue;
+}
+
 namespace nshd::nn {
 
 /// Standard 2-D convolution, NCHW activations, OIHW weights, square kernel.
@@ -18,6 +22,12 @@ class Conv2d final : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
+  /// forward_into with `post` (plus this layer's bias) finishing every
+  /// output in the GEMM epilogue; Sequential fuses a following eval
+  /// BatchNorm2d and ActivationLayer this way.  Pointwise convs over planes
+  /// smaller than 32 pixels run one GEMM per group of samples.
+  void forward_epilogue(const TensorView& in, TensorView out,
+                        Workspace& scratch, const tensor::Epilogue& post);
   void backward_into(const TensorView& in, const TensorView& grad_out,
                      TensorView grad_in, Workspace& ws) override;
   std::int64_t scratch_floats(const Shape& input) const override;
@@ -53,10 +63,17 @@ class DepthwiseConv2d final : public Layer {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Branch-free kernel over a zero-padded copy of the input (see conv.cpp
+  /// for the row and channel-block layouts); bitwise equal to the chain
+  /// that skips out-of-range taps whenever the weights are finite.
   void forward_into(const TensorView& in, TensorView out,
                     Workspace& scratch) override;
+  /// forward_into with `post` applied to every output before it is stored.
+  void forward_epilogue(const TensorView& in, TensorView out,
+                        Workspace& scratch, const tensor::Epilogue& post);
   void backward_into(const TensorView& in, const TensorView& grad_out,
                      TensorView grad_in, Workspace& ws) override;
+  std::int64_t scratch_floats(const Shape& input) const override;
   std::int64_t train_scratch_floats(const Shape& input) const override;
   std::vector<Param*> params() override;
   Shape output_shape(const Shape& input) const override;

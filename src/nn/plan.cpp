@@ -38,6 +38,10 @@ InferencePlan::InferencePlan(Sequential& net, Shape sample_chw,
   planned_floats_ = static_cast<std::size_t>(std::max<std::int64_t>(
       0, net_->scratch_floats_to(with_batch(sample_chw_, max_batch_),
                                  last_layer_)));
+  // What a fresh lease's capacity reads back: the arena rounds its first
+  // block up, so comparing leases against the unrounded budget would
+  // classify every one as oversized and rebuild the arena on each run_batch.
+  pooled_floats_ = Workspace::reserved_capacity(planned_floats_);
 }
 
 Shape InferencePlan::output_shape(std::int64_t n) const {
@@ -64,7 +68,7 @@ void InferencePlan::release_workspace(std::unique_ptr<Workspace> ws) {
   // n > max_batch) is destroyed instead of pooled: pooling it would pin the
   // burst's arena forever and inflate steady-state memory.  Its peak was
   // folded into peak_floats_ above, so high-water reporting stays accurate.
-  if (ws->capacity_floats() > planned_floats_) {
+  if (ws->capacity_floats() > pooled_floats_) {
     --total_workspaces_;
     return;
   }

@@ -82,6 +82,7 @@ class InferencePlan {
   Shape out_shape_one_;  // output shape for batch == 1
   std::int64_t out_numel_per_sample_ = 0;
   std::size_t planned_floats_ = 0;
+  std::size_t pooled_floats_ = 0;  // capacity of a fresh lease (rounded budget)
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Workspace>> free_;  // idle leases

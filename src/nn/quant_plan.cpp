@@ -72,6 +72,7 @@ QuantizedInferencePlan::QuantizedInferencePlan(Sequential& net, Shape sample_chw
   }
   classify_layers();
   planned_floats_ = planned_floats_for(max_batch_);
+  pooled_floats_ = Workspace::reserved_capacity(planned_floats_);  // as InferencePlan
 }
 
 void QuantizedInferencePlan::classify_layers() {
@@ -399,7 +400,7 @@ std::unique_ptr<Workspace> QuantizedInferencePlan::acquire_workspace() {
 void QuantizedInferencePlan::release_workspace(std::unique_ptr<Workspace> ws) {
   std::lock_guard<std::mutex> lock(mutex_);
   peak_floats_ = std::max(peak_floats_, ws->peak_floats());
-  if (ws->capacity_floats() > planned_floats_) {
+  if (ws->capacity_floats() > pooled_floats_) {
     --total_workspaces_;
     return;
   }

@@ -159,6 +159,7 @@ class QuantizedInferencePlan {
   std::int64_t out_numel_per_sample_ = 0;
   std::int64_t max_boundary_numel_ = 0;  // per sample, across all boundaries
   std::size_t planned_floats_ = 0;
+  std::size_t pooled_floats_ = 0;  // capacity of a fresh lease (rounded budget)
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Workspace>> free_;

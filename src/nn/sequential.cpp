@@ -6,6 +6,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "nn/activation.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/conv.hpp"
+#include "tensor/epilogue.hpp"
+
 namespace nshd::nn {
 
 namespace {
@@ -17,7 +22,44 @@ void check_layer_index(std::size_t index, std::size_t size, const char* what) {
                             std::to_string(index) + " >= size " +
                             std::to_string(size));
 }
+
+bool is_conv(const Layer& layer) {
+  return layer.kind() == LayerKind::kConv ||
+         layer.kind() == LayerKind::kDepthwiseConv;
+}
 }  // namespace
+
+std::size_t Sequential::fused_end(std::size_t i, std::size_t last_layer) const {
+  if (!is_conv(*layers_[i])) return i;
+  std::size_t end = i;
+  if (end < last_layer && layers_[end + 1]->kind() == LayerKind::kBatchNorm)
+    ++end;
+  if (end < last_layer && layers_[end + 1]->kind() == LayerKind::kActivation)
+    ++end;
+  return end;
+}
+
+void Sequential::forward_fused(std::size_t first, std::size_t end,
+                               const TensorView& in, TensorView out,
+                               Workspace& ws) {
+  Workspace::Frame frame(ws);
+  tensor::Epilogue epilogue;
+  for (std::size_t i = first + 1; i <= end; ++i) {
+    if (layers_[i]->kind() == LayerKind::kBatchNorm) {
+      const auto& bn = static_cast<const BatchNorm2d&>(*layers_[i]);
+      bn.fill_epilogue(epilogue, ws.alloc(bn.channels()));
+    } else {
+      epilogue.has_act = true;
+      epilogue.act = static_cast<const ActivationLayer&>(*layers_[i]).activation();
+    }
+  }
+  Layer& conv = *layers_[first];
+  if (conv.kind() == LayerKind::kConv) {
+    static_cast<Conv2d&>(conv).forward_epilogue(in, out, ws, epilogue);
+  } else {
+    static_cast<DepthwiseConv2d&>(conv).forward_epilogue(in, out, ws, epilogue);
+  }
+}
 
 Sequential& Sequential::add(LayerPtr layer) {
   layers_.push_back(std::move(layer));
@@ -62,20 +104,29 @@ void Sequential::forward_into_to(const TensorView& in, TensorView out,
   int cur_slab = -1;  // -1: still reading the caller's (read-only) input
   for (std::size_t i = 0; i <= last_layer; ++i) {
     Layer& layer = *layers_[i];
+    // A conv absorbs a following eval batch-norm and activation into its
+    // epilogue; fusion stops at last_layer, so a cut between them still
+    // yields the conv's (or batch-norm's) own output.
+    const std::size_t end = fused_end(i, last_layer);
     TensorView target;
     int target_slab = cur_slab;
-    if (i == last_layer) {
-      target = TensorView(out.data(), shapes[i]);
-    } else if (layer.inplace_eval() && cur_slab >= 0) {
+    if (end == last_layer) {
+      target = TensorView(out.data(), shapes[end]);
+    } else if (end == i && layer.inplace_eval() && cur_slab >= 0) {
       // Relabel the slab in place; numel is preserved by in-place layers.
       target = TensorView(cur.data(), shapes[i]);
     } else {
       target_slab = cur_slab == 0 ? 1 : 0;
-      target = TensorView(slabs[target_slab], shapes[i]);
+      target = TensorView(slabs[target_slab], shapes[end]);
     }
-    layer.forward_into(cur, target, ws);
+    if (end == i) {
+      layer.forward_into(cur, target, ws);
+    } else {
+      forward_fused(i, end, cur, target, ws);
+    }
     cur = target;
     cur_slab = target_slab;
+    i = end;
   }
 }
 
@@ -100,16 +151,22 @@ std::int64_t Sequential::scratch_floats(const Shape& input) const {
 std::int64_t Sequential::scratch_floats_to(const Shape& input,
                                            std::size_t last_layer) const {
   check_layer_index(last_layer, layers_.size(), "Sequential::scratch_floats_to");
+  // Slack for the arena rounding each alloc up to its alignment quantum.
+  const auto align = static_cast<std::int64_t>(Workspace::kAlignFloats);
   Shape s = input;
   std::int64_t max_inter = 0, max_layer_scratch = 0;
   for (std::size_t i = 0; i <= last_layer; ++i) {
-    max_layer_scratch =
-        std::max(max_layer_scratch, layers_[i]->scratch_floats(s));
+    std::int64_t step = layers_[i]->scratch_floats(s);
+    // A fused step also holds its batch-norm's inv_std terms.
+    const std::size_t end = fused_end(i, last_layer);
+    for (std::size_t j = i + 1; j <= end; ++j) {
+      if (layers_[j]->kind() == LayerKind::kBatchNorm)
+        step += static_cast<const BatchNorm2d&>(*layers_[j]).channels() + align;
+    }
+    max_layer_scratch = std::max(max_layer_scratch, step);
     s = layers_[i]->output_shape(s);
     if (i < last_layer) max_inter = std::max(max_inter, s.numel());
   }
-  // Slack for the arena rounding each alloc up to its alignment quantum.
-  const auto align = static_cast<std::int64_t>(Workspace::kAlignFloats);
   return 2 * (max_inter + align) + max_layer_scratch;
 }
 

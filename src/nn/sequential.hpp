@@ -30,8 +30,12 @@ class Sequential final : public Layer {
   /// Workspace-backed inference through layers [0, last_layer] inclusive.
   /// Intermediates ping-pong between two workspace slabs sized at the
   /// largest intermediate; in-place-capable layers (activation, eval
-  /// batch-norm, flatten, dropout, SE) reuse the current slab.  `in` is
-  /// never written; the final layer writes straight into `out`.
+  /// batch-norm, flatten, dropout, SE) reuse the current slab.  A conv or
+  /// depthwise conv followed by an eval BatchNorm2d and/or an
+  /// ActivationLayer runs as one step with those layers in its epilogue
+  /// (bitwise equal to running them separately); fusion never reaches past
+  /// `last_layer`.  `in` is never written; the final layer writes straight
+  /// into `out`.
   void forward_into_to(const TensorView& in, TensorView out, Workspace& ws,
                        std::size_t last_layer);
 
@@ -40,7 +44,8 @@ class Sequential final : public Layer {
   std::int64_t scratch_floats(const Shape& input) const override;
 
   /// Workspace floats needed by forward_into_to with this input shape:
-  /// two ping-pong slabs plus the largest per-layer scratch.
+  /// two ping-pong slabs plus the largest per-step scratch (a fused step
+  /// adds its batch-norm's inv_std terms).
   std::int64_t scratch_floats_to(const Shape& input,
                                  std::size_t last_layer) const;
 
@@ -91,6 +96,13 @@ class Sequential final : public Layer {
   }
 
  private:
+  /// Last layer the step starting at `i` covers: i itself, or the eval
+  /// batch-norm / activation a conv at i absorbs (never past last_layer).
+  std::size_t fused_end(std::size_t i, std::size_t last_layer) const;
+  /// Runs layers [first, end] as one conv step with a fused epilogue.
+  void forward_fused(std::size_t first, std::size_t end, const TensorView& in,
+                     TensorView out, Workspace& ws);
+
   std::vector<LayerPtr> layers_;
   // Training tape: views of the input, every internal boundary activation
   // (pinned in the caller's workspace) and the output of the last

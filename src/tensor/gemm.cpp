@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "tensor/epilogue.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/workspace.hpp"
 #include "util/thread_pool.hpp"
@@ -39,20 +40,59 @@ static_assert(kRowGrain % MR == 0);
 // see their own stack of panels.
 thread_local Workspace tl_pack_ws;
 
-/// Packs row-major B[K,N] into column panels of NR contiguous floats per k
-/// step, zero-padded past column N, so the micro-kernel's two B loads are
-/// unit-stride regardless of n.
-void pack_b_panels(const float* b, float* packed, std::int64_t k, std::int64_t n) {
-  const std::int64_t panels = (n + NR - 1) / NR;
+/// Where the logical columns of B and C live when one GEMM spans several
+/// samples: logical column j is column j % n of sample j / n, at
+/// base + (j / n) * stride + j % n (row p adds p * n).  The one-sample case
+/// (stride 0) is the plain row-major matrix.  A cursor walks the panels in
+/// order without dividing: panel loops run per row chunk, and an int64
+/// division per panel costs as much as a small tile.
+struct SampleCols {
+  std::int64_t n, stride;
+
+  struct Cursor {
+    std::int64_t sample, col;
+  };
+  Cursor at(std::int64_t j) const { return {j / n, j % n}; }
+  std::int64_t offset(Cursor c) const { return c.sample * stride + c.col; }
+  void advance(Cursor& c, std::int64_t by) const {
+    c.col += by;
+    while (c.col >= n) c.col -= n, ++c.sample;
+  }
+  /// Offsets of `cols` columns from `c` into off[]; returns true (and
+  /// leaves off[] unused) when they lie in one sample, i.e. contiguously.
+  bool columns(Cursor c, std::int64_t cols, std::int64_t* off) const {
+    if (c.col + cols <= n) return true;
+    for (std::int64_t jj = 0; jj < cols; ++jj, advance(c, 1)) off[jj] = offset(c);
+    return false;
+  }
+};
+
+/// Packs B (`total` logical columns of K rows each) into column panels of
+/// NR contiguous floats per k step, zero-padded past the last column, so
+/// the micro-kernel's two B loads are unit-stride regardless of n.  A
+/// panel straddling a sample boundary gathers each column from its own
+/// sample.
+void pack_b_panels(const float* b, SampleCols sb, float* packed, std::int64_t k,
+                   std::int64_t total) {
+  const std::int64_t panels = (total + NR - 1) / NR;
+  const std::int64_t n = sb.n;
   util::parallel_for(0, panels, 1, [=](std::int64_t q0, std::int64_t q1) {
-    for (std::int64_t jp = q0; jp < q1; ++jp) {
-      const std::int64_t j0 = jp * NR;
-      const std::int64_t cols = std::min<std::int64_t>(NR, n - j0);
+    SampleCols::Cursor cur = sb.at(q0 * NR);
+    std::int64_t off[NR];
+    for (std::int64_t jp = q0; jp < q1; ++jp, sb.advance(cur, NR)) {
+      const std::int64_t cols = std::min<std::int64_t>(NR, total - jp * NR);
       float* dst = packed + jp * k * NR;
-      for (std::int64_t p = 0; p < k; ++p, dst += NR) {
-        const float* src = b + p * n + j0;
-        for (std::int64_t jj = 0; jj < cols; ++jj) dst[jj] = src[jj];
-        for (std::int64_t jj = cols; jj < NR; ++jj) dst[jj] = 0.0f;
+      if (sb.columns(cur, cols, off)) {
+        const float* src = b + sb.offset(cur);
+        for (std::int64_t p = 0; p < k; ++p, dst += NR, src += n) {
+          for (std::int64_t jj = 0; jj < cols; ++jj) dst[jj] = src[jj];
+          for (std::int64_t jj = cols; jj < NR; ++jj) dst[jj] = 0.0f;
+        }
+      } else {
+        for (std::int64_t p = 0; p < k; ++p, dst += NR) {
+          for (std::int64_t jj = 0; jj < cols; ++jj) dst[jj] = b[off[jj] + p * n];
+          for (std::int64_t jj = cols; jj < NR; ++jj) dst[jj] = 0.0f;
+        }
       }
     }
   });
@@ -84,17 +124,38 @@ inline void gemm_micro(const float* a, std::int64_t lda, const float* panel,
 }
 
 /// Merges a ROWS x `cols` tile into C (only valid columns are touched, so
-/// panel zero-padding never leaks past N).
+/// panel zero-padding never leaks past N).  Column jj lands at
+/// cbase + off[jj], or at cbase + jj when `off` is null (contiguous panel).
+/// A non-null epilogue finishes row r with `lanes[r]` on the way out; it
+/// runs on the stored tile, after the register accumulators are dead, so a
+/// SiLU's libm call never costs the micro-kernel its registers.
 template <int ROWS>
-inline void store_tile(const float* tile, float* cbase, std::int64_t ldc,
-                       std::int64_t cols, bool accumulate) {
+inline void store_tile(float* tile, float* cbase, std::int64_t ldc,
+                       const std::int64_t* off, std::int64_t cols,
+                       bool accumulate, const Epilogue* epi,
+                       const EpilogueLanes* lanes) {
   for (int r = 0; r < ROWS; ++r) {
     float* ci = cbase + r * ldc;
-    const float* ti = tile + r * NR;
-    if (accumulate) {
-      for (std::int64_t jj = 0; jj < cols; ++jj) ci[jj] += ti[jj];
+    float* ti = tile + r * NR;
+    if (off == nullptr && cols == NR && !accumulate) {
+      for (int v = 0; v < NRV; ++v) {
+        VF x = simd::vload(ti + v * kWidth);
+        if (epi != nullptr) x = epilogue_apply(*epi, lanes[r], x);
+        simd::vstore(ci + v * kWidth, x);
+      }
+      continue;
+    }
+    if (epi != nullptr) epilogue_vectors(*epi, lanes[r], ti, NRV);
+    if (off == nullptr) {
+      if (accumulate) {
+        for (std::int64_t jj = 0; jj < cols; ++jj) ci[jj] += ti[jj];
+      } else {
+        for (std::int64_t jj = 0; jj < cols; ++jj) ci[jj] = ti[jj];
+      }
+    } else if (accumulate) {
+      for (std::int64_t jj = 0; jj < cols; ++jj) ci[off[jj]] += ti[jj];
     } else {
-      for (std::int64_t jj = 0; jj < cols; ++jj) ci[jj] = ti[jj];
+      for (std::int64_t jj = 0; jj < cols; ++jj) ci[off[jj]] = ti[jj];
     }
   }
 }
@@ -184,25 +245,46 @@ void pack_bt_panels(const float* b, float* packed, std::int64_t k, std::int64_t 
   });
 }
 
-/// Row loop shared by gemm and gemm_bt_packed once B is in panel form.
+/// Row loop shared by every packed-panel GEMM once B is in panel form; C
+/// columns follow the same sample map as B.
 void gemm_packed_rows(const float* a, const float* packed, float* c,
-                      std::int64_t m, std::int64_t k, std::int64_t n,
-                      bool accumulate) {
-  const std::int64_t panels = (n + NR - 1) / NR;
+                      SampleCols sc, std::int64_t m, std::int64_t k,
+                      std::int64_t total, bool accumulate, const Epilogue* epi) {
+  const std::int64_t panels = (total + NR - 1) / NR;
+  const std::int64_t n = sc.n;
   util::parallel_for(0, m, kRowGrain, [=](std::int64_t r0, std::int64_t r1) {
     alignas(64) float tile[MR * NR];
-    for (std::int64_t jp = 0; jp < panels; ++jp) {
+    std::int64_t off_buf[NR];
+    // The chunk's epilogue terms, broadcast once instead of once per tile
+    // (a local copy, which vector stores cannot be assumed to overwrite).
+    Epilogue ep;
+    EpilogueLanes lanes[kRowGrain];
+    if (epi != nullptr) {
+      ep = *epi;
+      for (std::int64_t i = r0; i < r1; ++i) lanes[i - r0] = epilogue_broadcast(ep, i);
+    }
+    const Epilogue* e = epi != nullptr ? &ep : nullptr;
+    SampleCols::Cursor cur{0, 0};
+    for (std::int64_t jp = 0; jp < panels; ++jp, sc.advance(cur, NR)) {
       const float* panel = packed + jp * k * NR;
-      const std::int64_t j0 = jp * NR;
-      const std::int64_t cols = std::min<std::int64_t>(NR, n - j0);
+      const std::int64_t cols = std::min<std::int64_t>(NR, total - jp * NR);
+      float* cbase = c;
+      const std::int64_t* off = nullptr;
+      if (sc.columns(cur, cols, off_buf)) {
+        cbase += sc.offset(cur);
+      } else {
+        off = off_buf;
+      }
       std::int64_t i = r0;
       for (; i + MR <= r1; i += MR) {
         gemm_micro<MR>(a + i * k, k, panel, k, tile);
-        store_tile<MR>(tile, c + i * n + j0, n, cols, accumulate);
+        store_tile<MR>(tile, cbase + i * n, n, off, cols, accumulate, e,
+                       lanes + (i - r0));
       }
       for (; i < r1; ++i) {
         gemm_micro<1>(a + i * k, k, panel, k, tile);
-        store_tile<1>(tile, c + i * n + j0, n, cols, accumulate);
+        store_tile<1>(tile, cbase + i * n, n, off, cols, accumulate, e,
+                      lanes + (i - r0));
       }
     }
   });
@@ -317,17 +399,37 @@ inline void s16_rows(const std::int16_t* a, std::int64_t lda,
   }
 }
 
+/// The body of gemm and gemm_samples: pack every sample's B side by side,
+/// then run the row loop over all their columns at once.
+void gemm_sample_group(const float* a, const float* b, std::int64_t b_stride,
+                       float* c, std::int64_t c_stride, std::int64_t m,
+                       std::int64_t k, std::int64_t n, std::int64_t samples,
+                       bool accumulate, const Epilogue* epi) {
+  if (m == 0 || n == 0 || samples == 0) return;
+  if (epi != nullptr && epi->empty()) epi = nullptr;
+  Workspace& ws = tl_pack_ws;
+  Workspace::Frame frame(ws);
+  const std::int64_t total = samples * n;
+  const std::int64_t panels = (total + NR - 1) / NR;
+  float* packed = ws.alloc(panels * k * NR);
+  pack_b_panels(b, SampleCols{n, b_stride}, packed, k, total);
+  gemm_packed_rows(a, packed, c, SampleCols{n, c_stride}, m, k, total,
+                   accumulate, epi);
+}
+
 }  // namespace
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n, bool accumulate) {
-  if (m == 0 || n == 0) return;
-  Workspace& ws = tl_pack_ws;
-  Workspace::Frame frame(ws);
-  const std::int64_t panels = (n + NR - 1) / NR;
-  float* packed = ws.alloc(panels * k * NR);
-  pack_b_panels(b, packed, k, n);
-  gemm_packed_rows(a, packed, c, m, k, n, accumulate);
+  gemm_sample_group(a, b, 0, c, 0, m, k, n, 1, accumulate, nullptr);
+}
+
+void gemm_samples(const float* a, const float* b, std::int64_t b_stride,
+                  float* c, std::int64_t c_stride, std::int64_t m,
+                  std::int64_t k, std::int64_t n, std::int64_t samples,
+                  const Epilogue* epilogue) {
+  gemm_sample_group(a, b, b_stride, c, c_stride, m, k, n, samples,
+                    /*accumulate=*/false, epilogue);
 }
 
 void gemm_bt_packed(const float* a, const float* b, float* c, std::int64_t m,
@@ -338,7 +440,7 @@ void gemm_bt_packed(const float* a, const float* b, float* c, std::int64_t m,
   const std::int64_t panels = (n + NR - 1) / NR;
   float* packed = ws.alloc(panels * k * NR);
   pack_bt_panels(b, packed, k, n);
-  gemm_packed_rows(a, packed, c, m, k, n, accumulate);
+  gemm_packed_rows(a, packed, c, SampleCols{n, 0}, m, k, n, accumulate, nullptr);
 }
 
 void gemm_bt(const float* a, const float* b, float* c, std::int64_t m,

@@ -22,6 +22,24 @@ namespace nshd::tensor {
 void gemm(const float* a, const float* b, float* c, std::int64_t m,
           std::int64_t k, std::int64_t n, bool accumulate = false);
 
+struct Epilogue;
+
+/// `gemm` over several NCHW samples that share A, in one call:
+/// C_s[M,N] = epilogue(A[M,K] * B_s[K,N]) for s in [0, samples), with
+/// B_s = b + s * b_stride and C_s = c + s * c_stride.  The samples' columns
+/// are packed side by side into one panel set, so a pointwise conv over a
+/// small plane (N = H*W of 4 or 16) still fills whole register panels and
+/// pays the per-call packing and tiling overhead once per group.  Row i of
+/// each C_s is output channel i; a non-null `epilogue` (tensor/epilogue.hpp)
+/// finishes every element on its way from the tile to C.  Each element
+/// keeps gemm's K-ordered chain from zero, so the result is bitwise equal to
+/// one gemm per sample followed by the epilogue; `gemm` is the one-sample
+/// case without one.
+void gemm_samples(const float* a, const float* b, std::int64_t b_stride,
+                  float* c, std::int64_t c_stride, std::int64_t m,
+                  std::int64_t k, std::int64_t n, std::int64_t samples,
+                  const Epilogue* epilogue = nullptr);
+
 /// C[M,N] = A[M,K] * B[N,K]^T (+ C if accumulate).
 void gemm_bt(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n, bool accumulate = false);

@@ -11,10 +11,11 @@
 // where the build machine has it.
 //
 // The abstraction is deliberately tiny: a vector-of-float value type `VF`
-// with load/store/broadcast, add/sub/mul/fmadd, a fixed-order horizontal
-// sum, and two bitmap helpers (`signed_load`, `signed_set1`) that apply a
-// per-lane ±1 sign taken from the low `kWidth` bits of a packed bipolar
-// word.  The sign helpers are what turn the HD encode/similarity loops from
+// with load/store/broadcast, add/sub/mul/fmadd, ReLU/ReLU6 clamps that
+// reproduce the scalar activate() bit for bit (NaN and -0 included), a
+// fixed-order horizontal sum, and two bitmap helpers (`signed_load`,
+// `signed_set1`) that apply a per-lane ±1 sign taken from the low `kWidth`
+// bits of a packed bipolar word.  The sign helpers are what turn the HD encode/similarity loops from
 // per-set-bit scalar gathers into straight-line vector code: bit=1 keeps
 // the lane, bit=0 flips its sign bit (bipolar -1), with no branches and no
 // dependence on the bit population.
@@ -73,6 +74,15 @@ inline VF vsub(VF a, VF b) { return {_mm256_sub_ps(a.v, b.v)}; }
 inline VF vmul(VF a, VF b) { return {_mm256_mul_ps(a.v, b.v)}; }
 /// a*b + c (fused on this ISA).
 inline VF vfmadd(VF a, VF b, VF c) { return {_mm256_fmadd_ps(a.v, b.v, c.v)}; }
+/// x > 0 ? x : 0.  maxps returns its second operand for NaN and for two
+/// zeros, so NaN -> +0 and -0 -> +0, as activate(kReLU).
+inline VF vrelu(VF x) { return {_mm256_max_ps(x.v, _mm256_setzero_ps())}; }
+/// x < 0 ? 0 : (x > 6 ? 6 : x): min(6, x) keeps x for NaN, then max(0, t)
+/// keeps t for NaN and -0, as activate(kReLU6).
+inline VF vrelu6(VF x) {
+  return {_mm256_max_ps(_mm256_setzero_ps(),
+                        _mm256_min_ps(_mm256_set1_ps(6.0f), x.v))};
+}
 
 /// Fixed-order horizontal sum: low and high 128-bit halves are added
 /// lane-wise, then reduced pairwise — the order never varies at runtime.
@@ -173,6 +183,11 @@ inline VF vsub(VF a, VF b) { return {_mm_sub_ps(a.v, b.v)}; }
 inline VF vmul(VF a, VF b) { return {_mm_mul_ps(a.v, b.v)}; }
 /// a*b + c.  SSE2 has no FMA: two roundings, fixed per build.
 inline VF vfmadd(VF a, VF b, VF c) { return {_mm_add_ps(_mm_mul_ps(a.v, b.v), c.v)}; }
+/// Same operand order as the AVX2 block: bitwise activate(kReLU/kReLU6).
+inline VF vrelu(VF x) { return {_mm_max_ps(x.v, _mm_setzero_ps())}; }
+inline VF vrelu6(VF x) {
+  return {_mm_max_ps(_mm_setzero_ps(), _mm_min_ps(_mm_set1_ps(6.0f), x.v))};
+}
 
 inline float vhsum(VF a) {
   __m128 s = _mm_add_ps(a.v, _mm_movehl_ps(a.v, a.v));
@@ -264,6 +279,16 @@ inline VF vadd(VF a, VF b) { return {vaddq_f32(a.v, b.v)}; }
 inline VF vsub(VF a, VF b) { return {vsubq_f32(a.v, b.v)}; }
 inline VF vmul(VF a, VF b) { return {vmulq_f32(a.v, b.v)}; }
 inline VF vfmadd(VF a, VF b, VF c) { return {vfmaq_f32(c.v, a.v, b.v)}; }
+// vmaxq/vminq propagate NaN, which activate() does not: compare + select.
+inline VF vrelu(VF x) {
+  const float32x4_t z = vdupq_n_f32(0.0f);
+  return {vbslq_f32(vcgtq_f32(x.v, z), x.v, z)};
+}
+inline VF vrelu6(VF x) {
+  const float32x4_t z = vdupq_n_f32(0.0f), six = vdupq_n_f32(6.0f);
+  const float32x4_t t = vbslq_f32(vcgtq_f32(x.v, six), six, x.v);
+  return {vbslq_f32(vcltq_f32(x.v, z), z, t)};
+}
 
 inline float vhsum(VF a) {
   float32x2_t s = vadd_f32(vget_low_f32(a.v), vget_high_f32(a.v));
@@ -375,6 +400,17 @@ inline VF vfmadd(VF a, VF b, VF c) {
   VF r;
   for (int l = 0; l < 4; ++l) r.v[l] = a.v[l] * b.v[l] + c.v[l];
   return r;
+}
+inline VF vrelu(VF x) {
+  for (int l = 0; l < 4; ++l) x.v[l] = x.v[l] > 0.0f ? x.v[l] : 0.0f;
+  return x;
+}
+inline VF vrelu6(VF x) {
+  for (int l = 0; l < 4; ++l) {
+    const float t = x.v[l];
+    x.v[l] = t < 0.0f ? 0.0f : (t > 6.0f ? 6.0f : t);
+  }
+  return x;
 }
 inline float vhsum(VF a) { return (a.v[0] + a.v[2]) + (a.v[1] + a.v[3]); }
 

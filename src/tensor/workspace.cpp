@@ -74,6 +74,10 @@ Workspace::~Workspace() {
   for (Block& b : blocks_) pool().release(b.data.release(), b.alloc_capacity);
 }
 
+std::size_t Workspace::reserved_capacity(std::size_t floats) {
+  return floats == 0 ? 0 : std::max(align_up(floats), kMinBlockFloats);
+}
+
 void Workspace::add_block(std::size_t floats) {
   // Geometric growth keeps the block list short when estimates were low.
   const std::size_t last = blocks_.empty() ? 0 : blocks_.back().capacity;

@@ -42,6 +42,12 @@ class Workspace {
   /// previously handed-out spans).
   void reserve(std::size_t floats);
 
+  /// capacity_floats() of a fresh Workspace(floats): the first block is
+  /// rounded up to the alignment quantum and the minimum block size.  Plans
+  /// compare returned leases against it, so a pooled lease never reads as
+  /// oversized.
+  static std::size_t reserved_capacity(std::size_t floats);
+
   /// A 64-byte-aligned span of `numel` floats, uninitialized.  Valid until
   /// the enclosing Frame unwinds or reset() is called.  numel 0 -> nullptr.
   float* alloc(std::int64_t numel);

@@ -15,7 +15,9 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
-/// printf-style logging. Thread-compatible (single writer assumed).
+/// printf-style logging.  Thread-safe: the level is atomic, and each line,
+/// whatever its length, reaches stderr in a single write, so concurrent
+/// lines do not interleave (on a pipe, for lines up to PIPE_BUF bytes).
 void logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
 #define NSHD_LOG_DEBUG(...) ::nshd::util::logf(::nshd::util::LogLevel::kDebug, __VA_ARGS__)

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
@@ -170,6 +174,262 @@ TEST(DepthwiseConv2d, MacsCount) {
   util::Rng rng(10);
   DepthwiseConv2d dw(16, 3, 1, 1, rng);
   EXPECT_EQ(dw.macs_per_sample(Shape{16, 8, 8}), 16 * 8 * 8 * 9);
+}
+
+/// The guarded depthwise forward the padded kernel replaced: each output
+/// sums its in-range taps in (kh, kw) order starting from zero and skips
+/// the taps that fall outside the input.
+Tensor guarded_depthwise(const Tensor& x, const Tensor& w, std::int64_t k,
+                         std::int64_t stride, std::int64_t pad) {
+  const std::int64_t batch = x.shape()[0], channels = x.shape()[1];
+  const std::int64_t in_h = x.shape()[2], in_w = x.shape()[3];
+  const std::int64_t out_h = (in_h + 2 * pad - k) / stride + 1;
+  const std::int64_t out_w = (in_w + 2 * pad - k) / stride + 1;
+  Tensor y(Shape{batch, channels, out_h, out_w});
+  for (std::int64_t n = 0; n < batch; ++n)
+    for (std::int64_t c = 0; c < channels; ++c)
+      for (std::int64_t oh = 0; oh < out_h; ++oh)
+        for (std::int64_t ow = 0; ow < out_w; ++ow) {
+          float sum = 0.0f;
+          for (std::int64_t kh = 0; kh < k; ++kh) {
+            const std::int64_t ih = oh * stride - pad + kh;
+            if (ih < 0 || ih >= in_h) continue;
+            for (std::int64_t kw = 0; kw < k; ++kw) {
+              const std::int64_t iw = ow * stride - pad + kw;
+              if (iw < 0 || iw >= in_w) continue;
+              sum += x.at(n, c, ih, iw) * w[c * k * k + kh * k + kw];
+            }
+          }
+          y.at(n, c, oh, ow) = sum;
+        }
+  return y;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+TEST(DepthwiseConv2d, PaddedKernelMatchesGuardedLoopBitwise) {
+  // Zero-padded taps add w * 0 to a sum that starts at +0, which leaves its
+  // bits unchanged for finite weights: both the row layout (wide planes)
+  // and the channel-block layout (narrow planes) must equal the guarded
+  // loop exactly, at stride 2 as well as 1.
+  util::Rng rng(41);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> planes = {
+      {1, 1}, {2, 2}, {3, 5}, {4, 4}, {7, 3}, {8, 8}, {9, 16}, {13, 13},
+      {16, 16}, {1, 32}, {32, 32}};
+  int cases = 0;
+  for (std::int64_t k : {3, 5})
+    for (std::int64_t stride : {1, 2})
+      for (std::int64_t pad : {0, 1, 2})
+        for (const auto& [h, w] : planes)
+          for (std::int64_t channels : {1, 3, 17})
+            for (std::int64_t batch : {1, 7}) {
+              if (h + 2 * pad < k || w + 2 * pad < k) continue;
+              DepthwiseConv2d dw(channels, k, stride, pad, rng);
+              const Tensor x = random_tensor(Shape{batch, channels, h, w}, rng);
+              Tensor y(dw.output_shape(x.shape()));
+              const std::int64_t budget = dw.scratch_floats(x.shape());
+              Workspace ws(static_cast<std::size_t>(budget));
+              dw.forward_into(x.view(), y.view(), ws);
+              const Tensor ref = guarded_depthwise(x, dw.params()[0]->value, k,
+                                                   stride, pad);
+              ASSERT_TRUE(same_bits(y, ref))
+                  << "k=" << k << " s=" << stride << " p=" << pad << " plane=" << h
+                  << "x" << w << " c=" << channels << " n=" << batch;
+              EXPECT_LE(ws.peak_floats(), static_cast<std::size_t>(budget));
+              ++cases;
+            }
+  EXPECT_GT(cases, 600);
+}
+
+// --- Fused conv epilogues ---
+
+/// The scalar reference for layers [0, last], one layer at a time: the
+/// guarded loop for depthwise convs and every other layer's allocating
+/// eval forward (im2col conv plus a separate bias pass, and the plain
+/// scalar batch-norm and activation loops).  None of it runs the padded
+/// depthwise kernel, the sample-grouped GEMM or the shared epilogue.
+Tensor run_reference(Sequential& net, const Tensor& x, std::size_t last) {
+  Tensor cur = x;
+  for (std::size_t i = 0; i <= last; ++i) {
+    Layer& layer = net.layer(i);
+    if (const auto* dw = dynamic_cast<const DepthwiseConv2d*>(&layer)) {
+      cur = guarded_depthwise(cur, layer.params()[0]->value, dw->kernel(),
+                              dw->stride(), dw->pad());
+    } else {
+      cur = layer.forward(cur, /*training=*/false);
+    }
+  }
+  return cur;
+}
+
+/// Sequential's scheduler, which fuses, inside its own scratch budget.
+Tensor run_fused(Sequential& net, const Tensor& x, std::size_t last) {
+  Tensor out(net.output_shape_at(x.shape(), last));
+  const std::int64_t budget = net.scratch_floats_to(x.shape(), last);
+  Workspace ws(static_cast<std::size_t>(budget));
+  net.forward_into_to(x.view(), out.view(), ws, last);
+  EXPECT_LE(ws.peak_floats(), static_cast<std::size_t>(budget));
+  return out;
+}
+
+void randomize_batchnorm(BatchNorm2d& bn, util::Rng& rng) {
+  for (std::int64_t c = 0; c < bn.channels(); ++c) {
+    bn.params()[0]->value[c] = rng.uniform(-1.5f, 1.5f);
+    bn.params()[1]->value[c] = rng.normal();
+    bn.running_mean()[c] = rng.normal(0.0f, 0.3f);
+    bn.running_var()[c] = rng.uniform(0.5f, 2.0f);
+  }
+}
+
+/// Overwrites every `every`-th element with one of the values the
+/// activation epilogues treat specially: NaN, -0, +0, 6, above 6 and, with
+/// `infinities`, +-inf.  Conv inputs leave the infinities out: inf - inf
+/// inside a conv sum makes a second NaN payload, and which of two NaN
+/// payloads an add returns depends on its operand order, which no kernel
+/// promises.
+void sprinkle_special_values(Tensor& t, std::int64_t every, bool infinities) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -0.0f, 0.0f, 6.0f, 6.5f, 1e30f, inf, -inf};
+  const std::size_t kinds = infinities ? 8 : 6;
+  std::size_t next = 0;
+  for (std::int64_t i = 0; i < t.numel(); i += every)
+    t[i] = specials[next++ % kinds];
+}
+
+TEST(BatchNorm2d, EvalForwardIntoMatchesScalarLoopBitwise) {
+  // forward_into runs the vector epilogue (a whole-vector body plus a
+  // padded tail); the allocating eval forward is the plain scalar loop
+  // g * ((x - mean) * inv_std) + b.  Randomized statistics, plane sizes on
+  // both sides of a vector, special input values, and in-place use.
+  util::Rng rng(54);
+  for (std::int64_t hw : {1, 3, 4, 7, 8, 9, 17, 33}) {
+    BatchNorm2d bn(5);
+    randomize_batchnorm(bn, rng);
+    Tensor x = random_tensor(Shape{3, 5, 1, hw}, rng, 4.0f);
+    sprinkle_special_values(x, 3, /*infinities=*/true);
+    const Tensor ref = bn.forward(x, /*training=*/false);
+    Tensor y(x.shape());
+    Workspace ws;
+    bn.forward_into(x.view(), y.view(), ws);
+    EXPECT_TRUE(same_bits(y, ref)) << "hw=" << hw;
+    Tensor inplace = x;
+    bn.forward_into(inplace.view(), inplace.view(), ws);
+    EXPECT_TRUE(same_bits(inplace, ref)) << "in place, hw=" << hw;
+  }
+}
+
+TEST(ActivationLayer, ForwardIntoMatchesScalarActivateBitwise) {
+  // ReLU and ReLU6 take vector max/min forms that must keep activate()'s
+  // answers for NaN (ReLU -> +0, ReLU6 -> NaN) and -0 (ReLU -> +0, ReLU6
+  // -> -0); SiLU and Sigmoid call activate() per lane.
+  util::Rng rng(55);
+  Tensor x = random_tensor(Shape{2, 3, 5, 7}, rng, 5.0f);
+  sprinkle_special_values(x, 2, /*infinities=*/true);
+  for (const Activation act : {Activation::kReLU, Activation::kReLU6,
+                               Activation::kSiLU, Activation::kSigmoid}) {
+    ActivationLayer layer(act);
+    const Tensor ref = layer.forward(x, /*training=*/false);
+    Tensor y(x.shape());
+    Workspace ws;
+    layer.forward_into(x.view(), y.view(), ws);
+    EXPECT_TRUE(same_bits(y, ref)) << to_string(act);
+  }
+}
+
+TEST(FusedEpilogue, SpecialValuesMatchScalarBatchNormThenActivation) {
+  // Each channel's batch-norm steers the activation input onto one edge
+  // case: gamma = 0 makes the output exactly beta (or NaN for a NaN input),
+  // and gamma < 0 with beta = -0 turns a +0 input into -0.  ReLU6 keeps NaN
+  // and -0 where a plain vector max/min would not.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> gammas = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 1.0f, -1.0f, 0.0f};
+  const std::vector<float> betas = {-0.0f, 0.0f, 6.0f, 7.5f, nan, 0.0f, -0.0f, -3.0f};
+  const std::int64_t channels = 8;
+  for (const Activation act : {Activation::kReLU, Activation::kReLU6,
+                               Activation::kSiLU, Activation::kSigmoid}) {
+    for (const bool depthwise : {true, false}) {
+      util::Rng rng(51);
+      Sequential net;
+      if (depthwise) {
+        // 1x1 planes with pad 1: only the centre tap is in range.
+        net.emplace<DepthwiseConv2d>(channels, 3, 1, 1, rng);
+        for (std::int64_t c = 0; c < channels; ++c)
+          net.layer(0).params()[0]->value[c * 9 + 4] = 1.0f;
+      } else {
+        net.emplace<Conv2d>(channels, channels, 1, 1, 0, /*bias=*/true, rng);
+      }
+      net.emplace<BatchNorm2d>(channels);
+      net.emplace<ActivationLayer>(act);
+      auto& bn = static_cast<BatchNorm2d&>(net.layer(1));
+      for (std::int64_t c = 0; c < channels; ++c) {
+        bn.params()[0]->value[c] = gammas[static_cast<std::size_t>(c)];
+        bn.params()[1]->value[c] = betas[static_cast<std::size_t>(c)];
+      }
+      Tensor x = random_tensor(Shape{4, channels, 1, 1}, rng, 4.0f);
+      x.at(1, 2, 0, 0) = nan;
+      x.at(1, 5, 0, 0) = nan;
+      for (std::int64_t c = 0; c < channels; ++c) x.at(2, c, 0, 0) = -0.0f;
+      x.at(3, 5, 0, 0) = 6.0f;
+      x.at(3, 6, 0, 0) = 0.0f;
+      EXPECT_TRUE(same_bits(run_fused(net, x, 2), run_reference(net, x, 2)))
+          << to_string(act) << (depthwise ? " depthwise" : " pointwise");
+    }
+  }
+}
+
+TEST(FusedEpilogue, RandomConvStacksMatchScalarReferenceBitwise) {
+  // Randomized batch-norm statistics, and conv inputs holding NaN, +-0 and
+  // values of 6 and above among large normal values, so the activation
+  // sees NaN and values on both sides of 0 and 6.
+  util::Rng rng(52);
+  for (const Activation act : {Activation::kReLU, Activation::kReLU6,
+                               Activation::kSiLU, Activation::kSigmoid}) {
+    // Dense 3x3 conv with bias (im2col path), strided depthwise rows and
+    // channel blocks, and pointwise convs grouped across samples.
+    std::vector<Sequential> nets(4);
+    nets[0].emplace<Conv2d>(3, 6, 3, 1, 1, /*bias=*/true, rng);
+    nets[1].emplace<DepthwiseConv2d>(6, 3, 2, 1, rng);
+    nets[2].emplace<DepthwiseConv2d>(6, 5, 1, 2, rng);
+    nets[3].emplace<Conv2d>(6, 10, 1, 1, 0, /*bias=*/false, rng);
+    const std::vector<Shape> inputs = {Shape{5, 3, 9, 11}, Shape{5, 6, 17, 17},
+                                       Shape{5, 6, 3, 3}, Shape{7, 6, 2, 2}};
+    for (std::size_t i = 0; i < nets.size(); ++i) {
+      const std::int64_t out_c = nets[i].output_shape(inputs[i])[1];
+      nets[i].emplace<BatchNorm2d>(out_c);
+      nets[i].emplace<ActivationLayer>(act);
+      randomize_batchnorm(static_cast<BatchNorm2d&>(nets[i].layer(1)), rng);
+      Tensor x = random_tensor(inputs[i], rng, 4.0f);
+      sprinkle_special_values(x, 29, /*infinities=*/false);
+      EXPECT_TRUE(same_bits(run_fused(nets[i], x, 2), run_reference(nets[i], x, 2)))
+          << "net " << i << " " << to_string(act);
+    }
+  }
+}
+
+TEST(FusedEpilogue, NeverCrossesTheCut) {
+  // A cut between the conv and its batch-norm (or between the batch-norm
+  // and the activation) must return that layer's own output.
+  util::Rng rng(53);
+  Sequential net;
+  net.emplace<Conv2d>(3, 4, 3, 1, 1, /*bias=*/true, rng);
+  net.emplace<BatchNorm2d>(4);
+  net.emplace<ActivationLayer>(Activation::kReLU6);
+  net.emplace<DepthwiseConv2d>(4, 3, 1, 1, rng);
+  net.emplace<BatchNorm2d>(4);
+  randomize_batchnorm(static_cast<BatchNorm2d&>(net.layer(1)), rng);
+  randomize_batchnorm(static_cast<BatchNorm2d&>(net.layer(4)), rng);
+  const Tensor x = random_tensor(Shape{3, 3, 6, 6}, rng, 3.0f);
+  for (std::size_t last = 0; last < net.size(); ++last) {
+    const Tensor fused = run_fused(net, x, last);
+    EXPECT_TRUE(same_bits(fused, run_reference(net, x, last))) << "last=" << last;
+  }
+  // The cut really is observable: the conv alone differs from conv + BN.
+  EXPECT_FALSE(same_bits(run_fused(net, x, 0), run_reference(net, x, 1)));
 }
 
 // --- BatchNorm2d ---

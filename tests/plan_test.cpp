@@ -358,6 +358,32 @@ TEST(PlanReporting, WorkspaceBudgetIsReported) {
   EXPECT_LE(plan.peak_workspace_bytes(), plan.planned_workspace_bytes());
 }
 
+TEST(PlanReporting, SteadyBatchesReuseOnePooledWorkspace) {
+  // The arena rounds its first block up (alignment quantum, minimum block),
+  // so a budget that is not rounded the same way makes every lease read as
+  // oversized: it is dropped after each run_batch and the next call builds a
+  // fresh arena.  Every plan must instead keep exactly one pooled
+  // workspace, and its shape-inferred budget must cover the high water.
+  const data::Dataset ds = small_dataset(4, 8);  // 32 samples
+  for (const char* name :
+       {"vgg16s", "mobilenetv2s", "efficientnet_b0s", "efficientnet_b7s"}) {
+    models::ZooModel m = models::make_model(name, 4, 3);
+    for (std::size_t cut = 0; cut < m.feature_count; ++cut) {
+      for (std::int64_t max_batch : {1, 7, 32}) {
+        nn::InferencePlan plan(m.net, m.input_chw, cut, max_batch);
+        planned_batch(plan, ds, 0, max_batch);  // the budget's high water
+        planned_batch(plan, ds, 0, 1);          // must reuse the pooled lease
+        const std::string what = std::string(name) + " cut=" +
+                                 std::to_string(cut) + " max_batch=" +
+                                 std::to_string(max_batch);
+        EXPECT_EQ(plan.workspace_count(), 1u) << what;
+        EXPECT_LE(plan.peak_workspace_bytes(), plan.planned_workspace_bytes())
+            << what;
+      }
+    }
+  }
+}
+
 TEST(PlanReporting, OversizedBatchLeaseIsReleasedNotPooled) {
   models::ZooModel m = models::make_model("mobilenetv2s", 4, 3);
   nn::InferencePlan plan(m.net, m.input_chw, 4, /*max_batch=*/4);

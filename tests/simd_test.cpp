@@ -8,11 +8,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "hd/classifier.hpp"
 #include "hd/hypervector.hpp"
 #include "hd/projection.hpp"
+#include "tensor/epilogue.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
@@ -82,6 +85,101 @@ TEST(SimdGemm, AccumulatePreservesExistingC) {
     tensor::gemm(a.data(), b.data(), c.data(), s.m, s.k, s.n, /*accumulate=*/true);
     for (std::size_t i = 0; i < c.size(); ++i)
       ASSERT_NEAR(c[i], ref[i] + c0[i], tol_for(s.k) + 1e-5f);
+  }
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(SimdGemmSamples, BitwiseEqualToOneGemmPerSample) {
+  // Pointwise-conv shapes: A = weights [M, K], each sample's B = [K, H*W].
+  // Odd M and K, planes from 1x1 to 32x32, sample counts that straddle
+  // panel boundaries in every way.
+  util::Rng rng(31);
+  for (std::int64_t hw : {1, 4, 16, 64, 1024}) {
+    for (std::int64_t samples : {1, 3, 7}) {
+      const std::int64_t m = 13, k = 37;
+      const auto a = random_vec(m * k, rng);
+      // Samples sit at a stride wider than their payload, as in NCHW
+      // batches where B is one view into a bigger tensor.
+      const std::int64_t b_stride = k * hw + 5, c_stride = m * hw + 3;
+      const auto b = random_vec(samples * b_stride, rng);
+      std::vector<float> batched(static_cast<std::size_t>(samples * c_stride), -7.0f);
+      std::vector<float> single = batched;
+      tensor::gemm_samples(a.data(), b.data(), b_stride, batched.data(), c_stride,
+                           m, k, hw, samples);
+      for (std::int64_t s = 0; s < samples; ++s)
+        tensor::gemm(a.data(), b.data() + s * b_stride, single.data() + s * c_stride,
+                     m, k, hw);
+      EXPECT_TRUE(same_bits(batched, single)) << "hw=" << hw << " samples=" << samples;
+    }
+  }
+}
+
+TEST(SimdGemmSamples, EpilogueMatchesGemmThenPerChannelPass) {
+  util::Rng rng(32);
+  const std::int64_t m = 11, k = 19;
+  const auto bias = random_vec(m, rng);
+  const auto mean = random_vec(m, rng);
+  const auto gamma = random_vec(m, rng);
+  const auto beta = random_vec(m, rng);
+  std::vector<float> inv_std(static_cast<std::size_t>(m));
+  for (auto& v : inv_std) v = rng.uniform(0.5f, 2.0f);
+  for (const tensor::Activation act :
+       {tensor::Activation::kReLU, tensor::Activation::kReLU6,
+        tensor::Activation::kSiLU, tensor::Activation::kSigmoid}) {
+    tensor::Epilogue e;
+    e.bias = bias.data();
+    e.bn_mean = mean.data();
+    e.bn_inv_std = inv_std.data();
+    e.bn_gamma = gamma.data();
+    e.bn_beta = beta.data();
+    e.has_act = true;
+    e.act = act;
+    for (std::int64_t hw : {1, 4, 16, 64}) {
+      const std::int64_t samples = 5;
+      const auto a = random_vec(m * k, rng);
+      const auto b = random_vec(samples * k * hw, rng);
+      std::vector<float> fused(static_cast<std::size_t>(samples * m * hw));
+      std::vector<float> split = fused;
+      tensor::gemm_samples(a.data(), b.data(), k * hw, fused.data(), m * hw, m, k,
+                           hw, samples, &e);
+      for (std::int64_t s = 0; s < samples; ++s) {
+        float* c = split.data() + s * m * hw;
+        tensor::gemm(a.data(), b.data() + s * k * hw, c, m, k, hw);
+        for (std::int64_t i = 0; i < m; ++i)
+          tensor::epilogue_run(e, i, c + i * hw, c + i * hw, hw);
+      }
+      EXPECT_TRUE(same_bits(fused, split))
+          << "act=" << static_cast<int>(act) << " hw=" << hw;
+    }
+  }
+}
+
+TEST(SimdClamp, ReluAndRelu6ReproduceActivateBitwise) {
+  // maxps/minps return their second operand on NaN and on two zeros, so
+  // operand order decides the NaN and -0 cases; compare every lane with
+  // the scalar activate() definition, bit for bit.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> xs = {nan,  -nan, -0.0f, 0.0f, 6.0f,  6.5f,   1e30f,
+                                 inf,  -inf, -3.0f, 2.5f, 5.99f, denorm, -denorm};
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    float in[tensor::simd::kWidth];
+    for (int l = 0; l < tensor::simd::kWidth; ++l)
+      in[l] = xs[(i + static_cast<std::size_t>(l)) % xs.size()];
+    float relu[tensor::simd::kWidth], relu6[tensor::simd::kWidth];
+    tensor::simd::vstore(relu, tensor::simd::vrelu(tensor::simd::vload(in)));
+    tensor::simd::vstore(relu6, tensor::simd::vrelu6(tensor::simd::vload(in)));
+    for (int l = 0; l < tensor::simd::kWidth; ++l) {
+      const float want = tensor::activate(tensor::Activation::kReLU, in[l]);
+      const float want6 = tensor::activate(tensor::Activation::kReLU6, in[l]);
+      EXPECT_EQ(std::memcmp(&relu[l], &want, sizeof(float)), 0) << "relu(" << in[l] << ")";
+      EXPECT_EQ(std::memcmp(&relu6[l], &want6, sizeof(float)), 0) << "relu6(" << in[l] << ")";
+    }
   }
 }
 

@@ -1,4 +1,5 @@
-// Tests for src/util: rng, table formatting, cache, cli parsing, thread pool.
+// Tests for src/util: rng, table formatting, cache, cli parsing, thread pool,
+// logging.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -7,10 +8,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "util/cache.hpp"
 #include "util/cli.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -478,6 +483,71 @@ TEST(CliArgs, FallbacksWhenAbsent) {
   EXPECT_EQ(args.get("missing", "def"), "def");
   EXPECT_EQ(args.get_int("missing", 7), 7);
   EXPECT_DOUBLE_EQ(args.get_double("missing", 1.5), 1.5);
+}
+
+TEST(Log, ConcurrentLinesStayWholeWhileLevelToggles) {
+  constexpr int kThreads = 4;
+  constexpr int kLines = 200;
+  const std::string payload(40, 'x');
+  const LogLevel saved = log_level();
+  testing::internal::CaptureStderr();
+  std::atomic<bool> stop{false};
+  std::thread toggler([&] {
+    while (!stop.load()) {
+      set_log_level(LogLevel::kError);
+      set_log_level(LogLevel::kDebug);
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < kLines; ++i) {
+        NSHD_LOG_WARN("worker=%d line=%d %s", t, i, payload.c_str());
+        NSHD_LOG_ERROR("worker=%d line=%d %s", t, i, payload.c_str());
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  stop.store(true);
+  toggler.join();
+  set_log_level(saved);
+  const std::string out = testing::internal::GetCapturedStderr();
+
+  // Every line is one whole message: no fragments of another thread's line.
+  std::istringstream lines(out);
+  std::string line;
+  int errors = 0, warnings = 0;
+  while (std::getline(lines, line)) {
+    int t = -1, i = -1;
+    char tag[8] = {};
+    char body[64] = {};
+    ASSERT_EQ(std::sscanf(line.c_str(), "[nshd %5[A-Z ]] worker=%d line=%d %63s",
+                          tag, &t, &i, body),
+              4)
+        << line;
+    EXPECT_TRUE(t >= 0 && t < kThreads && i >= 0 && i < kLines) << line;
+    EXPECT_EQ(std::string(body), payload) << line;
+    (std::string(tag) == "ERROR" ? errors : warnings) += 1;
+  }
+  // kError passes at both levels the toggler sets; kWarn only at one.
+  EXPECT_EQ(errors, kThreads * kLines);
+  EXPECT_LE(warnings, kThreads * kLines);
+}
+
+TEST(Log, LongLinesArriveWhole) {
+  // Past the formatter's stack buffer the line moves to the heap; it must
+  // still arrive complete, newline included, at every length around 1 KiB.
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kWarn);
+  for (std::size_t n : {1000u, 1010u, 1011u, 1012u, 5000u}) {
+    std::string body(n, 'y');
+    body.back() = 'z';
+    testing::internal::CaptureStderr();
+    NSHD_LOG_WARN("%s", body.c_str());
+    const std::string out = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(out, "[nshd WARN ] " + body + "\n") << "n=" << n;
+  }
+  set_log_level(saved);
 }
 
 }  // namespace
